@@ -4,7 +4,9 @@
 #   0. Lint gate: clang-format --check + clang-tidy (bugprone/performance/
 #      concurrency over src/obs and src/isolation). Skips cleanly when the
 #      clang tools are absent; REQUIRE_LINT=1 (set on CI runners) turns a
-#      missing tool into a failure.
+#      missing tool into a failure. Every src/**/*.h must also compile on
+#      its own (g++ -fsyntax-only), so no header leans on what its
+#      includer happened to include first.
 #   1. Release build, full ctest suite (tier-1 gate).
 #   2. Bench smoke: bench_perm_engine (google-benchmark JSON) and
 #      bench_degraded_mode (JSONL rows) with tiny iteration counts, output
@@ -75,6 +77,14 @@ if grep -rn --include='*.cpp' --include='*.h' -E \
     '\.error\(\)\.detail\.find\(|\.error\(\)\.toString\(\)\.find\(' \
     src tests; then
   echo "lint: matching on API error text; compare ApiErrc codes instead" >&2
+  exit 1
+fi
+
+# Header self-containment: each header, included alone, must compile.
+if ! find src -name '*.h' | sort | sed 's|^src/||' | xargs -P "$JOBS" -I{} \
+    sh -c 'printf "#include \"%s\"\n" "$1" |
+           g++ -std=c++20 -fsyntax-only -Isrc -x c++ - ||
+           { echo "lint: src/$1 is not self-contained" >&2; exit 1; }' _ {}; then
   exit 1
 fi
 

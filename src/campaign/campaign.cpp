@@ -299,8 +299,8 @@ LiveOutcome runLivePhase(const CampaignConfig& config, const CampaignPlan& plan,
   Fabric live = buildFatTree(config.liveFatTreeK);
   ctrl::Controller controller;
   controller.audit().setCapacity(config.auditCapacity);
-  // The sharded substrate, when asked for: dispatch + FlowTable mirrors +
-  // memo domains split across config.shards loops. The scorecard carries no
+  // The sharded substrate, when asked for: packet-in dispatch and memo
+  // domains split across config.shards loops. The scorecard carries no
   // shard field on purpose — any shard count must reproduce it byte for
   // byte (CI cmp's shards=1 against shards=4).
   shard::ShardRuntime shardRuntime([&] {

@@ -133,12 +133,6 @@ std::string StatsReport::toJson() const {
 
 StatsReport Controller::statsReport() const {
   StatsReport report;
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Merge fence: every shard loop finishes its in-flight work (pending
-    // mirror updates, posted deliveries) before the snapshot is taken, so
-    // the per-shard counters in the merged view are mutually consistent.
-    shards->fenceShards();
-  }
   report.metrics = obs::Registry::global().snapshot();
   report.recentSpans = obs::Tracer::global().recentSpans();
   report.auditRecords = audit_.totalRecorded();
@@ -172,11 +166,6 @@ ApiResult Controller::attachSwitch(std::shared_ptr<SwitchConn> conn,
     topology_.addSwitch(info.dpid);
   }
   obs::Registry::global().counter("controller.switch_attached").increment();
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Home-shard assignment: the owning event loop materializes this
-    // switch's FlowTable mirror before any packet-in can race it there.
-    shards->noteSwitchAttached(info.dpid);
-  }
   emitTopologyEvent(TopologyEvent{TopologyChange::kSwitchUp, info.dpid, 0});
   return ApiResult::success();
 }
@@ -195,7 +184,6 @@ void Controller::detachSwitch(of::DatapathId dpid) {
     switches_.erase(dpid);
     topology_.removeSwitch(dpid);
   }
-  if (ShardDispatch* shards = shardDispatch()) shards->dropSwitchState(dpid);
   emitTopologyEvent(TopologyEvent{TopologyChange::kSwitchDown, dpid, 0});
 }
 
@@ -295,14 +283,6 @@ void Controller::onFlowRemoved(const of::FlowRemoved& removed) {
   // The cookie carries the issuing app id (stamped at insert time).
   ownership_.recordDelete(removed.dpid, removed.match, removed.priority,
                           /*strict=*/true);
-  if (ShardDispatch* shards = shardDispatch()) {
-    of::FlowMod expire;
-    expire.command = of::FlowModCommand::kDeleteStrict;
-    expire.match = removed.match;
-    expire.priority = removed.priority;
-    expire.cookie = removed.cookie;
-    shards->noteFlowMods(removed.dpid, {expire});
-  }
   std::vector<Subscriber> subscribers;
   {
     std::lock_guard lock(mutex_);
@@ -350,9 +330,6 @@ ApiResult Controller::kernelInsertFlow(of::AppId issuer, of::DatapathId dpid,
   bool modify = mod.command == of::FlowModCommand::kModify ||
                 mod.command == of::FlowModCommand::kModifyStrict;
   if (!modify) ownership_.recordInsert(issuer, dpid, mod.match, mod.priority);
-  if (ShardDispatch* shards = shardDispatch()) {
-    shards->noteFlowMods(dpid, {stamped});
-  }
   std::vector<Subscriber> subscribers;
   {
     std::lock_guard lock(mutex_);
@@ -375,18 +352,6 @@ ApiResult Controller::kernelInsertFlows(of::AppId issuer, of::DatapathId dpid,
   std::vector<of::FlowMod> stamped = mods;
   for (of::FlowMod& mod : stamped) mod.cookie = issuer;
   std::vector<ApiResult> applied = conn->applyFlowMods(stamped);
-  if (ShardDispatch* shards = shardDispatch()) {
-    // Only the mods the switch accepted reach the mirror, so the shard view
-    // tracks the real table, not the request stream.
-    std::vector<of::FlowMod> accepted;
-    accepted.reserve(stamped.size());
-    for (std::size_t i = 0; i < stamped.size(); ++i) {
-      if (i < applied.size() && applied[i].ok()) {
-        accepted.push_back(stamped[i]);
-      }
-    }
-    if (!accepted.empty()) shards->noteFlowMods(dpid, accepted);
-  }
   std::vector<Subscriber> subscribers;
   {
     std::lock_guard lock(mutex_);
@@ -431,7 +396,6 @@ ApiResult Controller::kernelDeleteFlow(of::AppId issuer, of::DatapathId dpid,
     return applied;
   }
   ownership_.recordDelete(dpid, match, priority, strict);
-  if (ShardDispatch* shards = shardDispatch()) shards->noteFlowMods(dpid, {mod});
   std::vector<Subscriber> subscribers;
   {
     std::lock_guard lock(mutex_);

@@ -27,8 +27,7 @@ namespace sdnshield::ctrl {
 /// Identity and transport metadata live in ConnectionInfo, supplied to
 /// Controller::attachSwitch at registration time — the kernel, supervisor
 /// and obs instrumentation never care whether the far end is an in-process
-/// SimSwitch, a codec-interposing WireSwitchConn or a real TCP peer behind
-/// the epoll reactor.
+/// SimSwitch or a real TCP peer behind the epoll reactor.
 ///
 /// Every send is typed: failures carry an ApiErrc (kTableFull from the
 /// switch, kConnClosed when the peer is gone, kFramingError when the wire
@@ -74,13 +73,12 @@ struct ConnectionInfo {
 
 /// Seam for the sharding subsystem (src/shard, DESIGN.md §16). When a
 /// dispatch is attached, packet-in delivery hops to the event loop owning
-/// the punting switch, kernel flow operations feed the owning shard's
-/// FlowTable mirror, and topology-wide operations (quarantine, stats
-/// merges) fence every shard loop. Implemented by shard::ShardRuntime; the
-/// controller only sees this narrow interface so the dependency points
-/// shard -> controller, never back. With no dispatch attached (the
-/// default), every path below is a single relaxed load and the controller
-/// behaves exactly as the pre-shard single pipeline.
+/// the punting switch, and app quarantine fences every shard loop.
+/// Implemented by shard::ShardRuntime; the controller only sees this narrow
+/// interface so the dependency points shard -> controller, never back. With
+/// no dispatch attached (the default), every path below is a single relaxed
+/// load and the controller behaves exactly as the pre-shard single
+/// pipeline.
 class ShardDispatch {
  public:
   virtual ~ShardDispatch() = default;
@@ -93,16 +91,9 @@ class ShardDispatch {
   virtual void runOnShard(std::size_t shard,
                           const std::function<void()>& fn) = 0;
   /// Barrier: a task runs on every shard loop and the caller waits for all
-  /// of them — the cross-shard mailbox path for topology-wide operations.
-  /// Returns false (and does nothing) when called from a shard loop itself,
-  /// where blocking on sibling loops could deadlock.
+  /// of them. Returns false (and does nothing) when called from a shard
+  /// loop itself, where blocking on sibling loops could deadlock.
   virtual bool fenceShards() = 0;
-  /// Mirror maintenance: a switch registration creates its (empty) view on
-  /// the home shard; applied flow-mods update it; detach drops it.
-  virtual void noteSwitchAttached(of::DatapathId dpid) = 0;
-  virtual void noteFlowMods(of::DatapathId dpid,
-                            const std::vector<of::FlowMod>& mods) = 0;
-  virtual void dropSwitchState(of::DatapathId dpid) = 0;
 };
 
 class Controller {
@@ -111,12 +102,12 @@ class Controller {
 
   // --- southbound / topology learning -------------------------------------
   /// The single registration entry point for every transport: SimNetwork's
-  /// in-process switches, WireSwitchConn adapters and the epoll frontend's
-  /// TcpSwitchConn all land here. (The old attachSwitch(conn) overload that
-  /// pulled the dpid out of the connection is gone — identity is descriptor
-  /// state, not datapath interface.) A re-attach for a live dpid replaces
-  /// the previous connection (reconnect semantics). Fails with
-  /// kInvalidArgument on a null conn or a zero dpid.
+  /// in-process switches and the epoll frontend's TcpSwitchConn both land
+  /// here. (The old attachSwitch(conn) overload that pulled the dpid out of
+  /// the connection is gone — identity is descriptor state, not datapath
+  /// interface.) A re-attach for a live dpid replaces the previous
+  /// connection (reconnect semantics). Fails with kInvalidArgument on a null
+  /// conn or a zero dpid.
   ApiResult attachSwitch(std::shared_ptr<SwitchConn> conn,
                          const ConnectionInfo& info);
   void detachSwitch(of::DatapathId dpid);
@@ -210,10 +201,8 @@ class Controller {
   /// Attaches (or detaches, with nullptr) the shard runtime. Same lifetime
   /// contract as setMarketControl: the caller clears it (and fences) before
   /// the ShardDispatch is destroyed. With a dispatch attached, onPacketIn /
-  /// onPacketIns run their delivery on the owning shard's event loop,
-  /// kernel flow ops feed the shard FlowTable mirrors, removeSubscribers
-  /// fences every loop (quarantine barrier) and statsReport fences before
-  /// snapshotting so per-shard counters are merged consistently.
+  /// onPacketIns run their delivery on the owning shard's event loop and
+  /// removeSubscribers fences every loop (quarantine barrier).
   void setShardDispatch(ShardDispatch* dispatch) {
     shardDispatch_.store(dispatch, std::memory_order_release);
   }

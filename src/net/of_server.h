@@ -3,7 +3,7 @@
 // incrementally (net::Framer over of::wire's span decode), and registers
 // every switch through the one transport-agnostic seam —
 // Controller::attachSwitch(conn, ConnectionInfo) — exactly as the
-// in-process SimSwitch and WireSwitchConn do.
+// in-process SimSwitch does.
 //
 // Handshake (server side): on accept the server sends OFPT_HELLO and
 // OFPT_FEATURES_REQUEST; the switch's OFPT_FEATURES_REPLY carries its
@@ -38,7 +38,7 @@ namespace sdnshield::net {
 /// The TCP-backed SwitchConn: the controller's datapath calls become OF 1.0
 /// frames on the socket. Unsolicited controller->switch messages use xid 0
 /// (matching of::wire's encode defaults), which is what makes the wire path
-/// byte-comparable with the in-process WireSwitchConn path.
+/// byte-comparable with of::wire::encodeFlowMod of the in-process path.
 class TcpSwitchConn final : public ctrl::SwitchConn {
  public:
   TcpSwitchConn(Reactor& reactor, int fd, std::string peer,

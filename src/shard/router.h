@@ -1,8 +1,8 @@
-// Deterministic shard routing (DESIGN.md §16): every dpid and every app id
-// hashes to exactly one shard, with fixed constants so the mapping is stable
-// across processes, runs and shard-runtime restarts — the campaign's
-// determinism contract (same seed => byte-identical scorecard) extends to
-// any shard count because routing never depends on load, time or pointers.
+// Deterministic shard routing (DESIGN.md §16): every dpid hashes to exactly
+// one shard, with fixed constants so the mapping is stable across
+// processes, runs and shard-runtime restarts — the campaign's determinism
+// contract (same seed => byte-identical scorecard) extends to any shard
+// count because routing never depends on load, time or pointers.
 #pragma once
 
 #include <cstddef>
@@ -28,16 +28,9 @@ class Router {
   std::size_t shards() const { return shards_; }
 
   /// Home shard of a switch: all packet-ins punted by dpid dispatch on this
-  /// shard's loop, and its FlowTable mirror lives there.
+  /// shard's loop.
   std::size_t shardOf(of::DatapathId dpid) const {
     return static_cast<std::size_t>(mix64(dpid)) % shards_;
-  }
-
-  /// Home shard of an app (deputy work placement). Salted so an app whose
-  /// id collides numerically with a dpid does not always co-locate with it.
-  std::size_t shardOfApp(of::AppId app) const {
-    return static_cast<std::size_t>(mix64(0xa5a5a5a5a5a5a5a5ULL ^ app)) %
-           shards_;
   }
 
  private:

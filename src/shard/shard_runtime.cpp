@@ -4,10 +4,13 @@
 #include <exception>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/engine/permission_engine.h"
+#include "isolation/channel.h"
 #include "isolation/executor.h"
+#include "obs/metrics.h"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -20,7 +23,6 @@ namespace {
 
 struct RuntimeMetrics {
   obs::Counter calls = obs::Registry::global().counter("shard.calls");
-  obs::Counter posts = obs::Registry::global().counter("shard.posts");
   obs::Counter inlineRuns = obs::Registry::global().counter("shard.inline");
   obs::Counter fences = obs::Registry::global().counter("shard.fences");
   obs::Counter taskFaults = obs::Registry::global().counter("shard.task_faults");
@@ -59,39 +61,29 @@ void pinToCore(std::size_t index) {
 
 struct ShardRuntime::Shard {
   std::size_t index = 0;
-  MpscRing<Task> ring;
-  Doorbell doorbell;
+  iso::BoundedMpmcQueue<Task> queue;
   std::thread thread;
-  /// Loop-owned (never touched off-loop while running): the shard-local
-  /// FlowTable views of the switches homed here.
-  std::map<of::DatapathId, of::FlowTable> flowView;
   obs::Counter tasks;
-  obs::Counter wakeups;
 
-  Shard(std::size_t idx, std::size_t ringCapacity)
+  explicit Shard(std::size_t idx)
       : index(idx),
-        ring(ringCapacity),
         tasks(obs::Registry::global().counter(
-            obs::shardMetricName("tasks", idx))),
-        wakeups(obs::Registry::global().counter(
-            obs::shardMetricName("wakeups", idx))) {}
+            obs::shardMetricName("tasks", idx))) {}
 };
 
 ShardRuntime::ShardRuntime(ShardOptions options)
     : options_(options), router_(options.shards) {
   options_.shards = router_.shards();
-  if (options_.ringCapacity < 2) options_.ringCapacity = 2;
 }
 
 ShardRuntime::~ShardRuntime() { stop(); }
 
 void ShardRuntime::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  stopping_.store(false, std::memory_order_release);
   shards_.clear();
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, options_.ringCapacity));
+    shards_.push_back(std::make_unique<Shard>(i));
   }
   if (iso::VirtualExecutor* executor = iso::virtualExecutor()) {
     // Model-checking mode: no loop threads. Each shard's queue lives in the
@@ -113,7 +105,6 @@ void ShardRuntime::start() {
 
 void ShardRuntime::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
   if (virtualized_) {
     if (iso::VirtualExecutor* executor = iso::virtualExecutor()) {
       for (const auto& shard : shards_) {
@@ -125,51 +116,24 @@ void ShardRuntime::stop() {
     shards_.clear();
     return;
   }
-  // No push may land after the final drain: wait out in-flight producers
-  // (they either complete their push — which the drain below collects — or
-  // observe stopping_ and run inline).
-  while (pushers_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-  for (const auto& shard : shards_) shard->doorbell.ring();
+  // A closed queue refuses later pushes under its own mutex, and pop()
+  // hands out everything queued before the close, so each loop drains its
+  // backlog and exits. The shards stay allocated until the next start() or
+  // destruction, so a call() that passed its running check before stop()
+  // meets a closed queue (a refusal, run inline), never freed memory.
+  for (const auto& shard : shards_) shard->queue.close();
   for (const auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-  // Safety net for tasks pushed in the join window: run them here so a
-  // blocked call() can never strand.
-  for (const auto& shard : shards_) {
-    Task task;
-    while (shard->ring.tryPop(task)) {
-      runTask(*shard, task);
-      task = nullptr;
-    }
-  }
-  shards_.clear();
 }
 
 void ShardRuntime::runLoop(Shard& shard) {
   t_loopRuntime = this;
   t_loopShard = shard.index;
   if (options_.pinThreads) pinToCore(shard.index);
-  for (;;) {
-    Task task;
-    bool ran = false;
-    while (shard.ring.tryPop(task)) {
-      ran = true;
-      runTask(shard, task);
-      task = nullptr;  // Release promptly: guards must not outlive the step.
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      while (shard.ring.tryPop(task)) {
-        runTask(shard, task);
-        task = nullptr;
-      }
-      break;
-    }
-    if (!ran && shard.doorbell.wait(options_.idleWait)) {
-      shard.wakeups.increment();
-    }
-  }
+  // The task is destroyed at the end of each iteration, so a call()'s
+  // completion guard never outlives its step.
+  while (std::optional<Task> task = shard.queue.pop()) runTask(shard, *task);
   t_loopRuntime = nullptr;
 }
 
@@ -177,28 +141,12 @@ void ShardRuntime::runTask(Shard& shard, Task& task) {
   try {
     task();
   } catch (...) {
-    // Posted tasks are contained like any dispatch fault; call() payloads
-    // carry their exception back to the caller themselves.
+    // call() payloads carry their exception back to the caller themselves;
+    // anything that still escapes is contained like a dispatch fault.
     metrics().taskFaults.increment();
   }
   tasks_.fetch_add(1, std::memory_order_relaxed);
   shard.tasks.increment();
-}
-
-bool ShardRuntime::enqueue(std::size_t shard, Task task) {
-  pushers_.fetch_add(1, std::memory_order_acq_rel);
-  Shard& target = *shards_[shard];
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) {
-      pushers_.fetch_sub(1, std::memory_order_release);
-      return false;
-    }
-    if (target.ring.tryPush(task)) break;
-    std::this_thread::yield();  // Ring momentarily full; consumer is live.
-  }
-  target.doorbell.ring();
-  pushers_.fetch_sub(1, std::memory_order_release);
-  return true;
 }
 
 void ShardRuntime::runOnShard(std::size_t shard,
@@ -209,10 +157,13 @@ void ShardRuntime::runOnShard(std::size_t shard,
 void ShardRuntime::call(std::size_t shard, const Task& task) {
   calls_.fetch_add(1, std::memory_order_relaxed);
   metrics().calls.increment();
-  if (!running_.load(std::memory_order_acquire)) {
+  auto runInline = [&] {
     inlineRuns_.fetch_add(1, std::memory_order_relaxed);
     metrics().inlineRuns.increment();
     task();
+  };
+  if (!running_.load(std::memory_order_acquire)) {
+    runInline();
     return;
   }
   if (virtualized_) {
@@ -244,9 +195,7 @@ void ShardRuntime::call(std::size_t shard, const Task& task) {
     // Already on one of our loops. Same shard: inline keeps ordering. A
     // different shard would mean loop-blocks-on-loop — run inline instead;
     // cycles are impossible when no loop ever waits on a sibling.
-    inlineRuns_.fetch_add(1, std::memory_order_relaxed);
-    metrics().inlineRuns.increment();
-    task();
+    runInline();
     return;
   }
   struct CallState {
@@ -271,41 +220,15 @@ void ShardRuntime::call(std::size_t shard, const Task& task) {
     }
     guard.reset();
   };
-  if (!enqueue(shard, std::move(payload))) {
-    inlineRuns_.fetch_add(1, std::memory_order_relaxed);
-    metrics().inlineRuns.increment();
-    task();
+  if (!shards_[shard]->queue.push(std::move(payload))) {
+    // Stopped: the closed queue refused the payload (its guard already
+    // fired on destruction), so run the task here.
+    runInline();
     return;
   }
   std::unique_lock lock(state->mutex);
   state->cv.wait(lock, [&] { return state->done; });
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void ShardRuntime::post(std::size_t shard, Task task) {
-  posts_.fetch_add(1, std::memory_order_relaxed);
-  metrics().posts.increment();
-  if (!running_.load(std::memory_order_acquire)) {
-    inlineRuns_.fetch_add(1, std::memory_order_relaxed);
-    metrics().inlineRuns.increment();
-    task();
-    return;
-  }
-  if (virtualized_) {
-    iso::VirtualExecutor* executor = iso::virtualExecutor();
-    if (!executor || !executor->enqueue(shards_[shard].get(),
-                                        std::move(task))) {
-      return;  // Sealed queue (teardown): drop, like a discarded real queue.
-    }
-    return;
-  }
-  if (t_loopRuntime == this && t_loopShard == shard) {
-    task();  // Our own loop: run now instead of self-enqueueing.
-    return;
-  }
-  if (!enqueue(shard, std::move(task))) {
-    // Stopping: the mirror (the only post consumer) is being torn down.
-  }
 }
 
 bool ShardRuntime::fence(const std::function<void(std::size_t)>& perShard) {
@@ -347,7 +270,7 @@ void ShardRuntime::attachEngine(engine::PermissionEngine& engine) {
     // Epoch publish ordering (DESIGN.md §16): the table swap and version
     // bump happened-before this fence; each loop then resets its
     // thread-local memo, so every shard's next check resolves against the
-    // new epoch — the cross-shard mailbox for policy publishes.
+    // new epoch.
     fence([](std::size_t) { engine::PermissionEngine::resetThreadMemo(); });
   });
 }
@@ -356,66 +279,10 @@ void ShardRuntime::detachEngine(engine::PermissionEngine& engine) {
   engine.setPublishFence({});
 }
 
-void ShardRuntime::noteSwitchAttached(of::DatapathId dpid) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid] {
-    shards_[home]->flowView.try_emplace(dpid);
-  });
-}
-
-void ShardRuntime::noteFlowMods(of::DatapathId dpid,
-                                const std::vector<of::FlowMod>& mods) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid, mods] {
-    shards_[home]->flowView[dpid].applyBatch(mods);
-  });
-}
-
-void ShardRuntime::dropSwitchState(of::DatapathId dpid) {
-  if (!running_.load(std::memory_order_acquire)) return;
-  std::size_t home = router_.shardOf(dpid);
-  post(home, [this, home, dpid] { shards_[home]->flowView.erase(dpid); });
-}
-
-std::size_t ShardRuntime::mirroredSwitchCount() {
-  if (shards_.empty()) return 0;
-  std::size_t total = 0;
-  // Sequential fence: the per-shard tasks run one at a time with the caller
-  // joining each, so the plain accumulator is safe.
-  fence([this, &total](std::size_t i) { total += shards_[i]->flowView.size(); });
-  return total;
-}
-
-std::size_t ShardRuntime::mirroredFlowCount() {
-  if (shards_.empty()) return 0;
-  std::size_t total = 0;
-  fence([this, &total](std::size_t i) {
-    for (const auto& [dpid, table] : shards_[i]->flowView) {
-      total += table.size();
-    }
-  });
-  return total;
-}
-
-std::vector<of::FlowEntry> ShardRuntime::mirroredFlows(of::DatapathId dpid) {
-  std::vector<of::FlowEntry> out;
-  if (shards_.empty()) return out;
-  call(router_.shardOf(dpid), [this, dpid, &out] {
-    auto& view = shards_[router_.shardOf(dpid)]->flowView;
-    if (auto it = view.find(dpid); it != view.end()) {
-      out = it->second.entries();
-    }
-  });
-  return out;
-}
-
 ShardStats ShardRuntime::stats() const {
   ShardStats out;
   out.tasks = tasks_.load(std::memory_order_relaxed);
   out.calls = calls_.load(std::memory_order_relaxed);
-  out.posts = posts_.load(std::memory_order_relaxed);
   out.inlineRuns = inlineRuns_.load(std::memory_order_relaxed);
   out.fences = fences_.load(std::memory_order_relaxed);
   return out;

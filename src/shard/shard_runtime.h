@@ -1,11 +1,10 @@
 // The sharded controller substrate (DESIGN.md §16, ROADMAP item 1): N
-// per-core event loops, each owning a lock-free MPSC ring + doorbell, a
-// shard-local FlowTable view and (via thread-locality) its own
-// permission-memo domain. A deterministic Router maps dpid -> shard and
-// app -> shard; cross-shard traffic exists only for topology-wide
-// operations — policy epoch publishes (the engine publish fence), app
-// quarantine and statsReport merges — which run as a fence: one task per
-// shard, caller waits for all.
+// per-core event loops, each draining its own iso::BoundedMpmcQueue (the
+// one inter-thread queue, paper §VIII-B) and owning, via thread-locality,
+// its own permission-memo domain. A deterministic Router maps dpid ->
+// shard; cross-shard traffic exists only for topology-wide operations —
+// policy epoch publishes (the engine publish fence) and app quarantine —
+// which run as a fence: one task per shard, caller waits for all.
 //
 // shards=1 reproduces the pre-shard single pipeline bit-for-bit: every
 // dpid routes to shard 0, packet-ins dispatch in arrival order on one
@@ -18,19 +17,13 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "controller/controller.h"
-#include "obs/metrics.h"
-#include "of/flow_table.h"
-#include "shard/ring.h"
 #include "shard/router.h"
 
 namespace sdnshield::engine {
@@ -43,15 +36,10 @@ struct ShardOptions {
   /// Event-loop count. 1 (the default) is the compatibility mode: a single
   /// loop owning everything.
   std::size_t shards = 1;
-  /// Per-shard ring capacity (rounded up to a power of two). A full ring
-  /// back-pressures producers with a spin-yield, never a lock.
-  std::size_t ringCapacity = 4096;
   /// Best-effort CPU pinning (pthread_setaffinity_np): shard i is pinned to
   /// core i % hardware_concurrency. Failure (no permission, exotic libc) is
   /// recorded in a counter and otherwise ignored.
   bool pinThreads = false;
-  /// Idle doorbell wait; bounds shutdown latency, not correctness.
-  std::chrono::milliseconds idleWait{50};
 };
 
 /// Aggregate runtime counters (merged across shards; see also the
@@ -59,9 +47,8 @@ struct ShardOptions {
 struct ShardStats {
   std::uint64_t tasks = 0;      ///< Tasks executed on shard loops.
   std::uint64_t calls = 0;      ///< Synchronous runOnShard/call round-trips.
-  std::uint64_t posts = 0;      ///< Fire-and-forget posts.
   std::uint64_t inlineRuns = 0; ///< Tasks run on the caller (not running /
-                                ///< same shard / cross-shard-from-loop).
+                                ///< called from a loop / push refused).
   std::uint64_t fences = 0;     ///< Completed fence barriers.
 };
 
@@ -77,8 +64,11 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   /// Spawns the shard loops (or registers virtual queues under mck).
   /// Idempotent.
   void start();
-  /// Drains every ring, then joins/unregisters the loops. All producers
-  /// must be quiesced first (detach the controller before stopping).
+  /// Closes every loop's queue and joins the loops. Each loop runs every
+  /// task queued before the close; a call() racing stop() is either queued
+  /// in time (and runs on its loop) or refused (and runs inline), so no
+  /// caller strands. Detach the controller first so no new work routes
+  /// here. Not safe to race start().
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -91,23 +81,18 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   }
   void runOnShard(std::size_t shard, const std::function<void()>& fn) override;
   bool fenceShards() override { return fence({}); }
-  void noteSwitchAttached(of::DatapathId dpid) override;
-  void noteFlowMods(of::DatapathId dpid,
-                    const std::vector<of::FlowMod>& mods) override;
-  void dropSwitchState(of::DatapathId dpid) override;
 
   // --- task submission ------------------------------------------------------
   /// Runs @p task to completion on @p shard and waits. Inline when the
-  /// runtime is not running or the caller already is a shard loop (running
-  /// it on the caller avoids loop-to-loop blocking cycles). Task exceptions
-  /// propagate to the caller.
+  /// runtime is not running, the caller already is a shard loop (running
+  /// it on the caller avoids loop-to-loop blocking cycles) or the queue
+  /// refused the push because stop() closed it. Task exceptions propagate
+  /// to the caller.
   void call(std::size_t shard, const Task& task);
-  /// Fire-and-forget enqueue onto @p shard (inline when not running).
-  void post(std::size_t shard, Task task);
   /// Barrier: runs @p perShard (may be empty) on every shard loop in index
-  /// order, waiting for each — the cross-shard mailbox. Refused (returns
-  /// false, runs nothing) from a shard loop, where blocking on siblings
-  /// could cycle. Used for epoch publishes, quarantine and stats merges.
+  /// order, waiting for each. Refused (returns false, runs nothing) from a
+  /// shard loop, where blocking on siblings could cycle. Used for epoch
+  /// publishes and quarantine.
   bool fence(const std::function<void(std::size_t)>& perShard);
 
   /// Shard loop the calling thread belongs to, if any.
@@ -126,21 +111,11 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   void attachEngine(engine::PermissionEngine& engine);
   void detachEngine(engine::PermissionEngine& engine);
 
-  // --- shard-local FlowTable views ------------------------------------------
-  /// Mirror introspection; each fences or hops to the owning loop, so these
-  /// are consistent (and not for hot paths).
-  std::size_t mirroredSwitchCount();
-  std::size_t mirroredFlowCount();
-  std::vector<of::FlowEntry> mirroredFlows(of::DatapathId dpid);
-
   ShardStats stats() const;
 
  private:
   struct Shard;
 
-  /// Enqueues onto the shard's ring (spin-yield on full) and rings the
-  /// doorbell. False when the runtime is stopping — caller runs inline.
-  bool enqueue(std::size_t shard, Task task);
   void runLoop(Shard& shard);
   void runTask(Shard& shard, Task& task);
 
@@ -148,15 +123,10 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   Router router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  /// Producers in enqueue(); stop() waits for this to hit zero after
-  /// setting stopping_, so no push can land after the final drain.
-  std::atomic<std::int64_t> pushers_{0};
   bool virtualized_ = false;
 
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> calls_{0};
-  std::atomic<std::uint64_t> posts_{0};
   std::atomic<std::uint64_t> inlineRuns_{0};
   std::atomic<std::uint64_t> fences_{0};
 };

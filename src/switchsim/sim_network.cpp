@@ -38,15 +38,10 @@ void SimHost::clearReceived() {
   received_.clear();
 }
 
-std::shared_ptr<SimSwitch> SimNetwork::createSwitch(of::DatapathId dpid) {
+std::shared_ptr<SimSwitch> SimNetwork::addSwitch(of::DatapathId dpid) {
   auto sw = std::make_shared<SimSwitch>(dpid);
   sw->setController(&controller_);
   switches_[dpid] = sw;
-  return sw;
-}
-
-std::shared_ptr<SimSwitch> SimNetwork::addSwitch(of::DatapathId dpid) {
-  auto sw = createSwitch(dpid);
   controller_.attachSwitch(
       sw, ctrl::ConnectionInfo{dpid, "sim", "in-process", 0});
   return sw;

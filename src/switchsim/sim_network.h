@@ -67,11 +67,6 @@ class SimNetwork {
   /// through that one seam.
   std::shared_ptr<SimSwitch> addSwitch(of::DatapathId dpid);
 
-  /// Builds and data-plane-wires a switch WITHOUT attaching it: the caller
-  /// owns registration via Controller::attachSwitch — used by adapters that
-  /// interpose their own SwitchConn (WireSwitchConn, tests).
-  std::shared_ptr<SimSwitch> createSwitch(of::DatapathId dpid);
-
   /// Wires a bidirectional link and registers it in the controller topology.
   void link(of::DatapathId a, of::PortNo aPort, of::DatapathId b,
             of::PortNo bPort);

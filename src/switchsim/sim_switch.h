@@ -33,7 +33,7 @@ class SimSwitch final : public ctrl::SwitchConn {
   void setController(ctrl::Controller* controller) { controller_ = controller; }
 
   /// Overrides where punted packet-ins go (instead of the controller) —
-  /// used by adapters that frame the control channel (e.g. WireSwitchConn).
+  /// used by switch agents that frame the control channel onto a socket.
   using PacketInSink = std::function<void(const of::PacketIn&)>;
   void setPacketInSink(PacketInSink sink) { packetInSink_ = std::move(sink); }
 

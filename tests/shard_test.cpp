@@ -1,20 +1,24 @@
 // The sharded controller substrate (src/shard, DESIGN.md §16):
 //
-//  * ring/doorbell/router unit coverage (FIFO per producer, full-ring
-//    back-pressure, multi-producer stress, deterministic routing);
-//  * runtime semantics — call() runs on the owning loop and propagates
-//    exceptions, fence() barriers every loop and refuses from a loop;
-//  * the shard-local FlowTable mirrors track kernel flow operations;
+//  * deterministic routing;
+//  * runtime semantics — call() runs on the owning loop, propagates
+//    exceptions and runs inline from any loop; fence() barriers every loop
+//    and refuses from a loop;
+//  * stop() over the loops' bounded queues — every task queued before it
+//    runs on its loop, and calls racing it complete exactly once, on a
+//    loop or inline;
 //  * the engine publish fence barriers every shard on installAll;
-//  * the ISSUE acceptance differentials — shards=1 is byte-identical to
+//  * the acceptance differentials — shards=1 is byte-identical to
 //    the pre-shard inline pipeline, and per-switch flow-mod streams are
 //    identical across shard counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -26,7 +30,6 @@
 #include "core/lang/perm_parser.h"
 #include "isolation/api_proxy.h"
 #include "of/wire.h"
-#include "shard/ring.h"
 #include "shard/router.h"
 #include "shard/shard_runtime.h"
 
@@ -34,77 +37,6 @@ namespace sdnshield {
 namespace {
 
 namespace wire = of::wire;
-
-// --- ring + doorbell --------------------------------------------------------
-
-TEST(ShardRing, PreservesFifoAndRejectsWhenFull) {
-  shard::MpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int value = i;
-    EXPECT_TRUE(ring.tryPush(value));
-  }
-  int overflow = 99;
-  EXPECT_FALSE(ring.tryPush(overflow));
-  EXPECT_EQ(overflow, 99);  // Failed push must not consume the value.
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.tryPop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(ring.tryPop(out));
-}
-
-TEST(ShardRing, MultiProducerStressDeliversEveryItemExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  shard::MpscRing<std::uint64_t> ring(256);
-  std::atomic<bool> done{false};
-  std::vector<std::uint64_t> seen;
-  std::thread consumer([&] {
-    std::uint64_t item = 0;
-    while (!done.load(std::memory_order_acquire) || ring.sizeApprox() > 0) {
-      while (ring.tryPop(item)) seen.push_back(item);
-      std::this_thread::yield();
-    }
-    while (ring.tryPop(item)) seen.push_back(item);
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::uint64_t item =
-            (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint32_t>(i);
-        while (!ring.tryPush(item)) std::this_thread::yield();
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  done.store(true, std::memory_order_release);
-  consumer.join();
-
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::set<std::uint64_t> unique(seen.begin(), seen.end());
-  EXPECT_EQ(unique.size(), seen.size());
-  // Per-producer FIFO: each producer's items appear in increasing order.
-  std::vector<std::int64_t> last(kProducers, -1);
-  for (std::uint64_t item : seen) {
-    int p = static_cast<int>(item >> 32);
-    auto i = static_cast<std::int64_t>(item & 0xffffffffu);
-    EXPECT_LT(last[p], i);
-    last[p] = i;
-  }
-}
-
-TEST(ShardDoorbell, WakesAWaiterAndCoalescesRings) {
-  shard::Doorbell bell;
-  EXPECT_FALSE(bell.wait(std::chrono::milliseconds(1)));
-  bell.ring();
-  bell.ring();  // Coalesced into the same pending wakeup.
-  EXPECT_TRUE(bell.wait(std::chrono::milliseconds(100)));
-  EXPECT_FALSE(bell.wait(std::chrono::milliseconds(1)));  // Drained.
-}
 
 // --- router -----------------------------------------------------------------
 
@@ -122,7 +54,6 @@ TEST(ShardRouter, IsDeterministicCoversAllShardsAndMapsEverythingToShard0) {
   shard::Router router1(1);
   for (of::DatapathId dpid = 1; dpid <= 64; ++dpid) {
     EXPECT_EQ(router1.shardOf(dpid), 0u);
-    EXPECT_EQ(router1.shardOfApp(dpid), 0u);
   }
   // A fresh instance maps identically (process-stable constants).
   shard::Router again(4);
@@ -158,8 +89,17 @@ TEST(ShardRuntime, CallRunsOnOwningLoopAndPropagatesExceptions) {
   runtime.call(2, [&] { runtime.call(2, [&] { nested = true; }); });
   EXPECT_TRUE(nested);
 
+  // A call onto a sibling shard from a loop runs inline on the caller's
+  // loop: no loop ever blocks on another.
+  std::optional<std::size_t> sibling;
+  runtime.call(0, [&] {
+    runtime.call(1, [&] { sibling = runtime.currentShard(); });
+  });
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(*sibling, 0u);
+
   shard::ShardStats stats = runtime.stats();
-  EXPECT_GE(stats.calls, 5u);
+  EXPECT_GE(stats.calls, 7u);
   EXPECT_GE(stats.tasks, 4u);
   runtime.stop();
   EXPECT_FALSE(runtime.running());
@@ -187,100 +127,111 @@ TEST(ShardRuntime, FenceBarriersEveryLoopAndRefusesFromALoop) {
   bool refused = true;
   runtime.call(0, [&] { refused = !runtime.fence({}); });
   EXPECT_TRUE(refused) << "a loop fencing its siblings could deadlock";
-
-  // Fence observes everything posted before it (the mailbox contract).
-  std::atomic<int> posted{0};
-  for (std::size_t s = 0; s < 4; ++s) {
-    runtime.post(s, [&] { posted.fetch_add(1); });
-  }
-  EXPECT_TRUE(runtime.fence({}));
-  EXPECT_EQ(posted.load(), 4);
   runtime.stop();
 }
 
-// --- FlowTable mirrors ------------------------------------------------------
+// --- stop() over the loop queues --------------------------------------------
 
-/// Minimal southbound peer backed by a real FlowTable, so mirror contents
-/// can be differenced against the switch's actual table.
-class TableConn final : public ctrl::SwitchConn {
- public:
-  ctrl::ApiResult applyFlowMod(const of::FlowMod& mod) override {
-    std::lock_guard lock(mutex_);
-    if (!table_.apply(mod)) {
-      return ctrl::ApiResult::failure(ctrl::ApiErrc::kTableFull,
-                                      "table full");
-    }
-    return ctrl::ApiResult::success();
-  }
-  ctrl::ApiResult transmitPacket(const of::PacketOut&) override {
-    return ctrl::ApiResult::success();
-  }
-  ctrl::ApiResponse<std::vector<of::FlowEntry>> dumpFlows() const override {
-    std::lock_guard lock(mutex_);
-    return ctrl::ApiResponse<std::vector<of::FlowEntry>>::success(
-        table_.entries());
-  }
-  ctrl::ApiResponse<of::StatsReply> queryStats(
-      const of::StatsRequest&) const override {
-    return ctrl::ApiResponse<of::StatsReply>::success({});
-  }
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return table_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  of::FlowTable table_;
-};
-
-of::FlowMod addMod(std::uint8_t lastOctet, std::uint16_t priority) {
-  of::FlowMod mod;
-  mod.match.ipDst =
-      of::MaskedIpv4{of::Ipv4Address(10, 0, 0, lastOctet)};
-  mod.priority = priority;
-  return mod;
-}
-
-TEST(ShardRuntime, FlowTableMirrorsTrackKernelFlowOps) {
+TEST(ShardRuntime, StopRunsEveryTaskQueuedBeforeIt) {
   shard::ShardOptions options;
   options.shards = 2;
   shard::ShardRuntime runtime(options);
   runtime.start();
-  ctrl::Controller controller;
-  runtime.attach(controller);
 
-  constexpr of::DatapathId kSwitches = 6;
-  std::vector<std::shared_ptr<TableConn>> conns;
-  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    auto conn = std::make_shared<TableConn>();
-    ASSERT_TRUE(static_cast<bool>(controller.attachSwitch(
-        conn, ctrl::ConnectionInfo{dpid, "sim", "in-process", 0})));
-    conns.push_back(conn);
+  // Park loop 0 behind a gate so the callers below queue up behind it.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> parked{false};
+  std::thread blocker([&] {
+    runtime.call(0, [&] {
+      parked.store(true);
+      opened.wait();
+    });
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  constexpr std::size_t kCallers = 8;
+  std::vector<std::atomic<int>> runs(kCallers);
+  std::atomic<int> onLoop{0};
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      runtime.call(0, [&, i] {
+        runs[i].fetch_add(1);
+        if (runtime.currentShard() == 0u) onLoop.fetch_add(1);
+      });
+    });
   }
-  EXPECT_EQ(runtime.mirroredSwitchCount(), kSwitches);
+  while (runtime.stats().calls < kCallers + 1) std::this_thread::yield();
+  // Let the pushes land behind the gate, then stop while they are queued.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread stopper([&] { runtime.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.set_value();
+  stopper.join();
+  blocker.join();
+  for (std::thread& t : callers) t.join();
 
-  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    ASSERT_TRUE(static_cast<bool>(controller.kernelInsertFlow(
-        7, dpid, addMod(static_cast<std::uint8_t>(dpid), 10))));
-    std::vector<of::FlowMod> batch{addMod(100, 20), addMod(101, 30)};
-    ASSERT_TRUE(
-        static_cast<bool>(controller.kernelInsertFlows(7, dpid, batch)));
+  // A queued task dropped unrun would fire its caller's completion guard
+  // with runs[i] == 0; a refused push runs inline instead. Either way each
+  // task runs exactly once, and the queued ones ran on the loop.
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "caller " << i;
   }
-  EXPECT_EQ(runtime.mirroredFlowCount(), kSwitches * 3);
-  for (of::DatapathId dpid = 1; dpid <= kSwitches; ++dpid) {
-    EXPECT_EQ(runtime.mirroredFlows(dpid).size(), conns[dpid - 1]->size());
+  EXPECT_GT(onLoop.load(), 0) << "no caller was queued before stop()";
+  EXPECT_EQ(runtime.stats().tasks,
+            static_cast<std::uint64_t>(onLoop.load()) + 1);
+}
+
+TEST(ShardRuntime, CallsRacingStopEachCompleteExactlyOnce) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 200;
+  constexpr int kRounds = 20;
+  int onLoopTotal = 0;
+  int inlineTotal = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    shard::ShardOptions options;
+    options.shards = 2;
+    shard::ShardRuntime runtime(options);
+    runtime.start();
+
+    std::vector<std::atomic<int>> runs(kThreads * kCalls);
+    std::atomic<int> onLoop{0};
+    std::atomic<int> inlined{0};
+    std::atomic<std::size_t> completed{0};
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      callers.emplace_back([&, t] {
+        for (std::size_t c = 0; c < kCalls; ++c) {
+          std::size_t slot = t * kCalls + c;
+          runtime.call(c % 2, [&, slot] {
+            runs[slot].fetch_add(1);
+            if (runtime.currentShard()) {
+              onLoop.fetch_add(1);
+            } else {
+              inlined.fetch_add(1);
+            }
+          });
+          completed.fetch_add(1);
+        }
+      });
+    }
+    // Stop mid-stream, while the callers are still issuing calls.
+    while (completed.load() < kThreads * 8) std::this_thread::yield();
+    runtime.stop();
+    for (std::thread& t : callers) t.join();
+
+    for (std::size_t slot = 0; slot < runs.size(); ++slot) {
+      ASSERT_EQ(runs[slot].load(), 1) << "round " << round << " call " << slot;
+    }
+    EXPECT_EQ(onLoop.load() + inlined.load(),
+              static_cast<int>(kThreads * kCalls));
+    onLoopTotal += onLoop.load();
+    inlineTotal += inlined.load();
   }
-
-  ASSERT_TRUE(static_cast<bool>(controller.kernelDeleteFlow(
-      7, 1, addMod(100, 20).match, /*strict=*/true, 20)));
-  EXPECT_EQ(runtime.mirroredFlows(1).size(), conns[0]->size());
-
-  controller.detachSwitch(2);
-  EXPECT_EQ(runtime.mirroredSwitchCount(), kSwitches - 1);
-
-  runtime.detach(controller);
-  runtime.stop();
+  // Both sides of the race were exercised.
+  EXPECT_GT(onLoopTotal, 0);
+  EXPECT_GT(inlineTotal, 0);
 }
 
 // --- engine publish fence ---------------------------------------------------
@@ -326,6 +277,7 @@ class RecordingConn final : public ctrl::SwitchConn {
     return ctrl::ApiResult::success();
   }
   ctrl::ApiResult transmitPacket(const of::PacketOut&) override {
+    packetOuts_.fetch_add(1);
     return ctrl::ApiResult::success();
   }
   ctrl::ApiResponse<std::vector<of::FlowEntry>> dumpFlows() const override {
@@ -335,6 +287,7 @@ class RecordingConn final : public ctrl::SwitchConn {
       const of::StatsRequest&) const override {
     return ctrl::ApiResponse<of::StatsReply>::success({});
   }
+  std::size_t packetOutCount() const { return packetOuts_.load(); }
   std::vector<of::Bytes> frames() const {
     std::lock_guard lock(mutex_);
     return frames_;
@@ -347,6 +300,7 @@ class RecordingConn final : public ctrl::SwitchConn {
  private:
   mutable std::mutex mutex_;
   std::vector<of::Bytes> frames_;
+  std::atomic<std::size_t> packetOuts_{0};
 };
 
 /// One emulated switch's workload (the cbench shape): two MAC
@@ -432,16 +386,20 @@ struct Stack {
         controller.onPacketIn(w.probe);
       }
     }
-    // The shield posts events to the app thread; wait for every probe's
-    // flow-mod to land.
+    // The shield posts events to the app thread, and the app issues each
+    // probe's flow-mod and packet-out asynchronously; wait for every one
+    // (two announcement floods plus one forward per probe) to land, so the
+    // audit totals compared afterwards are final.
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     for (auto& conn : conns) {
-      while (conn->frameCount() < rounds &&
+      while ((conn->frameCount() < rounds ||
+              conn->packetOutCount() < rounds + 2) &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
       ASSERT_EQ(conn->frameCount(), rounds);
+      ASSERT_EQ(conn->packetOutCount(), rounds + 2);
     }
   }
 };
