@@ -9,13 +9,12 @@
 //
 // Hot-path layers measured separately (run with --benchmark_format=json to
 // land the numbers in BENCH_perm_engine.json):
-//   * BM_Fig5_*            — optimized compiled program, no memo (the
-//                            paper's Figure 5 workload, unchanged);
-//   * BM_EngineCheck_Memo* — full PermissionEngine::check including the
-//                            thread-local decision memo, on a recurring-flow
-//                            trace (Hot, ~100% hit rate) and the Figure-5
-//                            mostly-distinct trace (Cold). Counters report
-//                            memo_hit_rate and ns_per_check.
+//   * BM_Fig5_*        — optimized compiled program (the paper's Figure 5
+//                        workload, unchanged);
+//   * BM_EngineCheck_* — full PermissionEngine::check (snapshot resolve +
+//                        compiled program) on a recurring-flow trace (Hot,
+//                        256 distinct calls) and the Figure-5 mostly-distinct
+//                        trace (Cold).
 #include <benchmark/benchmark.h>
 
 #include "cbench/generator.h"
@@ -81,10 +80,9 @@ BENCHMARK(BM_Fig5_InsertFlowCheck)->Arg(1)->Arg(5)->Arg(15);
 BENCHMARK(BM_Fig5_ReadStatisticsCheck)->Arg(1)->Arg(5)->Arg(15);
 
 /// Full mediator path (PermissionEngine::check): app-table snapshot load +
-/// decision memo + compiled program on miss. `hotFlows` bounds the number
-/// of distinct calls cycled; a small working set models recurring flows and
-/// keeps the memo hot, the full Figure-5 trace is the cold/adversarial
-/// case.
+/// compiled program. `hotFlows` bounds the number of distinct calls cycled;
+/// a small working set models recurring flows and stays cache-resident, the
+/// full Figure-5 trace is the cold/adversarial case.
 void engineCheckThroughput(benchmark::State& state, std::size_t hotFlows) {
   std::size_t tokens = static_cast<std::size_t>(state.range(0));
   constexpr sdnshield::of::AppId kApp = 7;
@@ -97,7 +95,6 @@ void engineCheckThroughput(benchmark::State& state, std::size_t hotFlows) {
   if (hotFlows > 0 && trace.size() > hotFlows) trace.resize(hotFlows);
   for (ApiCall& call : trace) call.app = kApp;
 
-  PermissionEngine::resetMemoStats();
   std::size_t index = 0;
   std::uint64_t denied = 0;
   for (auto _ : state) {
@@ -107,37 +104,34 @@ void engineCheckThroughput(benchmark::State& state, std::size_t hotFlows) {
     if (!allowed) ++denied;
     benchmark::DoNotOptimize(allowed);
   }
-  auto memo = PermissionEngine::memoStats();
   state.SetItemsProcessed(state.iterations());
   state.counters["checks_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["memo_hit_rate"] = memo.hitRate();
   state.counters["denied_ratio"] =
       static_cast<double>(denied) / static_cast<double>(state.iterations());
 }
 
-void BM_EngineCheck_MemoHot(benchmark::State& state) {
-  engineCheckThroughput(state, 256);  // Recurring flows: memo serves ~100%.
+void BM_EngineCheck_Hot(benchmark::State& state) {
+  engineCheckThroughput(state, 256);  // Recurring flows.
 }
 
-void BM_EngineCheck_MemoCold(benchmark::State& state) {
+void BM_EngineCheck_Cold(benchmark::State& state) {
   engineCheckThroughput(state, 0);  // Full mostly-distinct Figure-5 trace.
 }
 
 /// Same workload with metric recording globally disabled: the delta against
-/// BM_EngineCheck_MemoHot is the price of the observability instrumentation
-/// on the hot path (acceptance bound: within 3%). memo_hit_rate reads 0
-/// here — the memo still works, but its registry counters are off.
-void BM_EngineCheck_MemoHot_ObsOff(benchmark::State& state) {
+/// BM_EngineCheck_Hot is the price of the observability instrumentation
+/// on the hot path (acceptance bound: within 3%).
+void BM_EngineCheck_Hot_ObsOff(benchmark::State& state) {
   bool wasEnabled = sdnshield::obs::Registry::enabled();
   sdnshield::obs::Registry::setEnabled(false);
   engineCheckThroughput(state, 256);
   sdnshield::obs::Registry::setEnabled(wasEnabled);
 }
 
-BENCHMARK(BM_EngineCheck_MemoHot)->Arg(1)->Arg(5)->Arg(15);
-BENCHMARK(BM_EngineCheck_MemoCold)->Arg(1)->Arg(5)->Arg(15);
-BENCHMARK(BM_EngineCheck_MemoHot_ObsOff)->Arg(1)->Arg(5)->Arg(15);
+BENCHMARK(BM_EngineCheck_Hot)->Arg(1)->Arg(5)->Arg(15);
+BENCHMARK(BM_EngineCheck_Cold)->Arg(1)->Arg(5)->Arg(15);
+BENCHMARK(BM_EngineCheck_Hot_ObsOff)->Arg(1)->Arg(5)->Arg(15);
 
 /// Compilation cost (manifest -> checking program), for context: the paper
 /// compiles at app load time, off the critical path.

@@ -8,7 +8,8 @@
 // re-reconciled against a new policy and their grants swapped in ONE atomic
 // permission epoch (PermissionEngine::installAll), while reader threads
 // hammer check() the whole time — the row reports the policy-update wall
-// time and the readers' p99 check latency DURING the swaps. Each N runs
+// time and the readers' p99 check latency DURING the swaps (readers run on
+// past the last swap until they hold at least 1,000 samples). Each N runs
 // twice: path "cold" re-reconciles every app and recompiles every grant on
 // every push (the PR 5 updatePolicy loop, emulated by disabling the
 // compiled-program cache), path "cached" groups apps into reconcile units
@@ -130,9 +131,13 @@ void runLiveUpdate(int apps, bool cached) {
   const auto compilesBefore = programCache.stats().misses;
 
   // Readers hammer check() across all apps for the whole run; each sample
-  // is one check's wall time.
+  // is one check's wall time. They keep going after the last push until
+  // they hold kMinReaderChecks samples, so the p99 has at least 10 samples
+  // above it.
   constexpr int kReaders = 4;
+  constexpr std::size_t kMinReaderChecks = 1000;
   std::atomic<bool> stop{false};
+  std::atomic<std::size_t> checksTaken{0};
   std::vector<std::vector<std::int64_t>> samples(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -151,6 +156,7 @@ void runLiveUpdate(int apps, bool cached) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                  start)
                 .count());
+        checksTaken.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -216,6 +222,9 @@ void runLiveUpdate(int apps, bool cached) {
             .count();
   }
   std::uint64_t epochs = engine.epoch() - epochBefore;
+  while (checksTaken.load(std::memory_order_relaxed) < kMinReaderChecks) {
+    std::this_thread::yield();
+  }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
   const std::uint64_t compiles = programCache.stats().misses - compilesBefore;

@@ -77,7 +77,6 @@ cbench::ThroughputStats run(const RunConfig& config) {
     iso::ShieldOptions options;
     options.ksdThreads = config.ksdThreads;  // Deputies scale out (§VI-A).
     shield = std::make_unique<iso::ShieldRuntime>(controller, options);
-    if (runtime) runtime->attachEngine(shield->engine());
     shield->loadApp(app, lang::parsePermissions(app->requestedManifest()));
   } else {
     baseline = std::make_unique<iso::BaselineRuntime>(controller);
@@ -89,10 +88,7 @@ cbench::ThroughputStats run(const RunConfig& config) {
       g_duration, config.window > 0 ? config.window : 1);
   app->drainPending();
   if (runtime) {
-    if (shield) {
-      runtime->detachEngine(shield->engine());
-      shield.reset();  // Quiesce app/deputy producers before the detach.
-    }
+    shield.reset();  // Quiesce app/deputy producers before the detach.
     baseline.reset();
     runtime->detach(controller);
     runtime->stop();
@@ -195,7 +191,7 @@ int shardsMode() {
   std::printf(
       "\nExpected shape: on a multicore host responses/sec grows "
       "monotonically with the\nshard count (each shard owns its switches' "
-      "dispatch + memo domain); on a 1-vCPU\nrunner the shards time-slice "
+      "dispatch); on a 1-vCPU\nrunner the shards time-slice "
       "one core and the curve is flat — the determinism\ndifferential "
       "(tests/shard_test.cpp) is the evidence that the routing itself is\n"
       "shape-preserving.\n");

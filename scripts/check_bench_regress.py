@@ -11,7 +11,7 @@ metric carries its own tolerance band in scripts/bench_baselines.json:
      {"id": "memo_hot_5",
       "source": "gbench",            # gbench | jsonl
       "file": "perm",                # which --<file> argument to read
-      "select": {"name": "BM_EngineCheck_MemoHot/5"},   # row match
+      "select": {"name": "BM_EngineCheck_Hot/5"},       # row match
       "field": "real_time",          # measured value
       "baseline": 57.3,
       "max_ratio": 8.0},             # fail if measured > baseline*max_ratio

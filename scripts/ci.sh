@@ -6,7 +6,9 @@
 #      clang tools are absent; REQUIRE_LINT=1 (set on CI runners) turns a
 #      missing tool into a failure. Every src/**/*.h must also compile on
 #      its own (g++ -fsyntax-only), so no header leans on what its
-#      includer happened to include first.
+#      includer happened to include first. The perfbench-only shims
+#      (resetThreadMemo, attachEngine, detachEngine) may have no caller
+#      outside perfbench/.
 #   1. Release build, full ctest suite (tier-1 gate).
 #   2. Bench smoke: bench_perm_engine (google-benchmark JSON) and
 #      bench_degraded_mode (JSONL rows) with tiny iteration counts, output
@@ -77,6 +79,20 @@ if grep -rn --include='*.cpp' --include='*.h' -E \
     '\.error\(\)\.detail\.find\(|\.error\(\)\.toString\(\)\.find\(' \
     src tests; then
   echo "lint: matching on API error text; compare ApiErrc codes instead" >&2
+  exit 1
+fi
+
+# Benchmark-harness shims: PermissionEngine::resetThreadMemo and
+# ShardRuntime::attachEngine/detachEngine are no-ops kept only because
+# perfbench/ still calls them. Outside perfbench/ nothing but their own
+# declaration and definition may name them.
+if grep -rnw --include='*.cpp' --include='*.h' -E \
+    'resetThreadMemo|attachEngine|detachEngine' src tests bench examples |
+    grep -vE '^src/core/engine/permission_engine\.h:[0-9]+:  static void resetThreadMemo\(\);$' |
+    grep -vE '^src/core/engine/permission_engine\.cpp:[0-9]+:void PermissionEngine::resetThreadMemo\(\) \{\}$' |
+    grep -vE '^src/shard/shard_runtime\.h:[0-9]+:  void (attach|detach)Engine\(engine::PermissionEngine& engine\);$' |
+    grep -vE '^src/shard/shard_runtime\.cpp:[0-9]+:void ShardRuntime::(attach|detach)Engine\(engine::PermissionEngine&\) \{\}$'; then
+  echo "lint: new caller of a perfbench-only shim" >&2
   exit 1
 fi
 

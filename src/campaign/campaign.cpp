@@ -299,8 +299,8 @@ LiveOutcome runLivePhase(const CampaignConfig& config, const CampaignPlan& plan,
   Fabric live = buildFatTree(config.liveFatTreeK);
   ctrl::Controller controller;
   controller.audit().setCapacity(config.auditCapacity);
-  // The sharded substrate, when asked for: packet-in dispatch and memo
-  // domains split across config.shards loops. The scorecard carries no
+  // The sharded substrate, when asked for: packet-in dispatch split
+  // across config.shards loops. The scorecard carries no
   // shard field on purpose — any shard count must reproduce it byte for
   // byte (CI cmp's shards=1 against shards=4).
   shard::ShardRuntime shardRuntime([&] {
@@ -346,7 +346,6 @@ LiveOutcome runLivePhase(const CampaignConfig& config, const CampaignPlan& plan,
   options.supervisor.taskDeadline = std::chrono::milliseconds(60000);
   options.supervisor.taskHangDeadline = std::chrono::milliseconds(120000);
   iso::ShieldRuntime shield(controller, options);
-  shardRuntime.attachEngine(shield.engine());
 
   lang::PolicyProgram initialPolicy =
       lang::parsePolicy(policyText(config.mutants, 0));
@@ -794,7 +793,6 @@ LiveOutcome runLivePhase(const CampaignConfig& config, const CampaignPlan& plan,
   // Detach before the shield/market destructors run so their teardown
   // traffic takes the inline path and nothing references the runtime after
   // it stops.
-  shardRuntime.detachEngine(shield.engine());
   shardRuntime.detach(controller);
   shardRuntime.stop();
   return outcome;

@@ -1,7 +1,6 @@
 #include "core/engine/permission_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -263,174 +262,11 @@ OptExpr optimizeExpr(const perm::FilterExprPtr& expr) {
   return OptExpr::tree(expr);
 }
 
-std::uint64_t nextInstanceId() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-// --- decision memo cache ----------------------------------------------------
-
-/// Raw-pointer serialization cursor: one memcpy + pointer bump per field,
-/// no per-append capacity/size bookkeeping (std::string::append showed up
-/// as the dominant cost of the memoized hit path). The caller sizes the
-/// buffer from memoKeyBound() before writing.
-struct KeyCursor {
-  char* p;
-
-  void raw(const void* data, std::size_t size) {
-    std::memcpy(p, data, size);
-    p += size;
-  }
-  template <typename T>
-  void val(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    raw(&value, sizeof(value));
-  }
-  template <typename T, typename Encode>
-  void opt(const std::optional<T>& value, Encode encode) {
-    *p++ = value ? '\1' : '\0';
-    if (value) encode(*value);
-  }
-};
-
-/// Upper bound on the encoded size of @p call (fixed-width fields padded to
-/// their presence byte + payload; variable lists by element count).
-std::size_t memoKeyBound(const perm::ApiCall& call) {
-  std::size_t bound = 160;  // Every fixed/optional scalar field, padded.
-  if (call.actions) bound += call.actions->size() * 24;
-  bound += call.topoSwitches.size() * 8 + call.topoLinks.size() * 16;
-  if (call.path) bound += call.path->size();
-  return bound;
-}
-
-/// Serializes every attribute a filter can inspect (plus the caller
-/// identity, which deny reasons embed) into a canonical byte string.
-/// Equal keys <=> the engine's decision and reason are identical.
-std::size_t buildMemoKey(const perm::ApiCall& call, char* base) {
-  KeyCursor out{base};
-  out.val(static_cast<std::uint8_t>(call.type));
-  out.val(call.app);
-  out.opt(call.dpid, [&](of::DatapathId v) { out.val(v); });
-  out.opt(call.match, [&](const of::FlowMatch& m) {
-    out.opt(m.inPort, [&](of::PortNo v) { out.val(v); });
-    out.opt(m.ethSrc,
-            [&](const of::MacAddress& v) { out.val(v.toUint64()); });
-    out.opt(m.ethDst,
-            [&](const of::MacAddress& v) { out.val(v.toUint64()); });
-    out.opt(m.ethType, [&](std::uint16_t v) { out.val(v); });
-    out.opt(m.vlanId, [&](std::uint16_t v) { out.val(v); });
-    auto maskedIp = [&](const of::MaskedIpv4& ip) {
-      // Canonical form: (mask, masked value) — MaskedIpv4 equality ignores
-      // value bits outside the mask.
-      out.val(ip.mask.value());
-      out.val(ip.value.value() & ip.mask.value());
-    };
-    out.opt(m.ipSrc, maskedIp);
-    out.opt(m.ipDst, maskedIp);
-    out.opt(m.ipProto, [&](std::uint8_t v) { out.val(v); });
-    out.opt(m.tpSrc, [&](std::uint16_t v) { out.val(v); });
-    out.opt(m.tpDst, [&](std::uint16_t v) { out.val(v); });
-  });
-  out.opt(call.actions, [&](const of::ActionList& actions) {
-    out.val(static_cast<std::uint32_t>(actions.size()));
-    for (const of::Action& action : actions) {
-      out.val(static_cast<std::uint8_t>(action.index()));
-      if (const auto* output = std::get_if<of::OutputAction>(&action)) {
-        out.val(output->port);
-      } else if (const auto* set = std::get_if<of::SetFieldAction>(&action)) {
-        out.val(static_cast<std::uint8_t>(set->field));
-        out.val(set->intValue);
-        out.val(set->macValue.toUint64());
-        out.val(set->ipValue.value());
-      }
-    }
-  });
-  out.opt(call.priority, [&](std::uint16_t v) { out.val(v); });
-  out.val(static_cast<std::uint8_t>(call.ownFlow));
-  out.opt(call.ruleCountAfter,
-          [&](std::size_t v) { out.val(static_cast<std::uint64_t>(v)); });
-  out.opt(call.statsLevel, [&](of::StatsLevel v) {
-    out.val(static_cast<std::uint8_t>(v));
-  });
-  out.val(static_cast<std::uint8_t>(call.pktOutFromPacketIn));
-  out.opt(call.callbackOp, [&](perm::CallbackOp v) {
-    out.val(static_cast<std::uint8_t>(v));
-  });
-  out.val(static_cast<std::uint32_t>(call.topoSwitches.size()));
-  for (of::DatapathId dpid : call.topoSwitches) out.val(dpid);
-  out.val(static_cast<std::uint32_t>(call.topoLinks.size()));
-  for (const auto& [a, b] : call.topoLinks) {
-    out.val(a);
-    out.val(b);
-  }
-  out.opt(call.remoteIp, [&](of::Ipv4Address v) { out.val(v.value()); });
-  out.opt(call.remotePort, [&](std::uint16_t v) { out.val(v); });
-  out.opt(call.path, [&](const std::string& path) {
-    out.val(static_cast<std::uint32_t>(path.size()));
-    out.raw(path.data(), path.size());
-  });
-  return static_cast<std::size_t>(out.p - base);
-}
-
-/// FNV-style hash over 8-byte words (byte-at-a-time FNV costs one serial
-/// multiply per byte — a ~50-entry key spent more time hashing than
-/// serializing). Slot selection only; lookups always memcmp the exact key.
-std::uint64_t hashKey(const char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL ^
-                       (size * 0x100000001b3ULL);
-  while (size >= 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, data, 8);
-    hash = (hash ^ chunk) * 0x100000001b3ULL;
-    data += 8;
-    size -= 8;
-  }
-  if (size > 0) {
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, data, size);
-    hash = (hash ^ tail) * 0x100000001b3ULL;
-  }
-  hash ^= hash >> 32;
-  return hash;
-}
-
-struct MemoEntry {
-  std::uint64_t compiledId = 0;  ///< 0 = slot empty.
-  std::uint64_t hash = 0;
-  std::string key;
-  Decision decision;
-};
-
-constexpr std::size_t kMemoSlots = 4096;  // Power of two; ~320 KiB/thread.
-
-struct ThreadMemo {
-  std::vector<MemoEntry> slots{kMemoSlots};
-  std::vector<char> scratch;  ///< Reusable key buffer, grown on demand.
-
-  // Last (engine, version, app) -> compiled resolution. Valid while the
-  // engine's version is unchanged; the shared_ptr keeps the compiled set
-  // alive even if the app is concurrently uninstalled or the engine
-  // destroyed, so the raw pointer handed out below never dangles.
-  std::uint64_t engineId = 0;
-  std::uint64_t engineVersion = 0;
-  of::AppId appId = 0;
-  std::shared_ptr<const CompiledPermissions> compiled;
-};
-
-ThreadMemo& threadMemo() {
-  thread_local ThreadMemo memo;
-  return memo;
-}
-
-// Registry-backed hot-path counters (the caches stay thread-local; the
-// registry aggregates across threads, so harnesses can report hit rates
-// for checks that ran on deputy threads). Namespace-scope handles: slot
-// resolution happens once at dynamic init, so the hot path pays only the
-// shard write — no function-local-static guard load.
-const obs::Counter g_memoHit =
-    obs::Registry::global().counter("engine.check.memo_hit");
-const obs::Counter g_memoMiss =
-    obs::Registry::global().counter("engine.check.memo_miss");
+// Registry-backed hot-path counters (the registry aggregates across
+// threads, so harnesses can report counts for checks that ran on deputy
+// threads). Namespace-scope handles: slot resolution happens once at
+// dynamic init, so the hot path pays only the shard write — no
+// function-local-static guard load.
 const obs::Counter g_checkDenied =
     obs::Registry::global().counter("engine.check.denied");
 const obs::Counter g_vmRuns =
@@ -444,19 +280,13 @@ const obs::Counter g_compileCacheMiss =
 const obs::Counter g_compileCacheEvict =
     obs::Registry::global().counter("engine.compile.cache_evict");
 
-// memoStats()/resetMemoStats() keep their pre-obs semantics (counts since
-// the last reset) by remembering baselines at reset time: the registry
-// counters themselves stay monotonic.
-std::atomic<std::uint64_t> g_memoHitBase{0};
-std::atomic<std::uint64_t> g_memoMissBase{0};
-
 }  // namespace
 
 // --- CompiledPermissions ----------------------------------------------------
 
 CompiledPermissions::CompiledPermissions(
     const perm::PermissionSet& permissions)
-    : source_(permissions), instanceId_(nextInstanceId()) {
+    : source_(permissions) {
   for (const perm::Permission& grant : permissions.permissions()) {
     TokenProgram& program = programs_[tokenIndex(grant.token)];
     program.granted = true;
@@ -623,7 +453,7 @@ std::shared_ptr<const CompiledPermissions> CompiledProgramCache::obtain(
   if (!enabled_) return compiled;
   if (auto it = entries_.find(key); it != entries_.end()) {
     // Lost a compile race: prefer the incumbent so every caller shares one
-    // instanceId (keeps thread memos hot).
+    // program.
     lru_.splice(lru_.begin(), lru_, it->second.recency);
     return it->second.program;
   }
@@ -680,25 +510,25 @@ std::size_t CompiledProgramCache::maxEntries() const {
 
 // --- PermissionEngine -------------------------------------------------------
 
-std::uint64_t nextEngineId() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 PermissionEngine::PermissionEngine()
-    : apps_(std::make_shared<const AppMap>()), engineId_(nextEngineId()) {}
+    : apps_(std::make_shared<const AppMap>()) {}
+
+void PermissionEngine::publish(const std::function<void(AppMap&)>& edit) {
+  std::lock_guard lock(writeMutex_);
+  auto next = std::make_shared<AppMap>(*snapshot());
+  edit(*next);
+  // Swap and bump in one critical section: a check() that reads the table
+  // after the swap also reads the new epoch, which is what makes two equal
+  // epoch() reads an exact bracket.
+  std::lock_guard snapLock(snapshotMutex_);
+  apps_ = std::move(next);
+  version_.fetch_add(1, std::memory_order_release);
+}
 
 void PermissionEngine::install(of::AppId app,
                                const perm::PermissionSet& permissions) {
   auto compiled = CompiledProgramCache::global().obtain(permissions);
-  std::lock_guard lock(writeMutex_);
-  auto next = std::make_shared<AppMap>(*snapshot());
-  (*next)[app] = std::move(compiled);
-  {
-    std::lock_guard snapLock(snapshotMutex_);
-    apps_ = std::move(next);
-  }
-  version_.fetch_add(1, std::memory_order_release);
+  publish([&](AppMap& apps) { apps[app] = std::move(compiled); });
 }
 
 void PermissionEngine::installAll(
@@ -721,109 +551,27 @@ void PermissionEngine::installAll(
 void PermissionEngine::installAll(
     std::vector<std::pair<of::AppId, std::shared_ptr<const CompiledPermissions>>>
         programs) {
-  {
-    std::lock_guard lock(writeMutex_);
-    auto next = std::make_shared<AppMap>(*snapshot());
-    for (auto& [app, set] : programs) (*next)[app] = std::move(set);
-    {
-      std::lock_guard snapLock(snapshotMutex_);
-      apps_ = std::move(next);
-    }
-    // One bump for the whole batch: the new epoch carries every new grant.
-    version_.fetch_add(1, std::memory_order_release);
-  }
-  // Publish fence, outside the write lock: the shard runtime barriers every
-  // shard loop here so the epoch handover is ordered against all shard-local
-  // checks (DESIGN.md §16). Concurrent installAll callers may interleave
-  // fences, which is fine — each fence is ordered after its own bump.
-  std::function<void()> fence;
-  {
-    std::lock_guard lock(fenceMutex_);
-    fence = publishFence_;
-  }
-  if (fence) fence();
-}
-
-void PermissionEngine::setPublishFence(std::function<void()> fence) {
-  std::lock_guard lock(fenceMutex_);
-  publishFence_ = std::move(fence);
+  // One publish for the whole batch: the new epoch carries every new grant.
+  publish([&](AppMap& apps) {
+    for (auto& [app, set] : programs) apps[app] = std::move(set);
+  });
 }
 
 void PermissionEngine::uninstall(of::AppId app) {
-  std::lock_guard lock(writeMutex_);
-  auto next = std::make_shared<AppMap>(*snapshot());
-  next->erase(app);
-  {
-    std::lock_guard snapLock(snapshotMutex_);
-    apps_ = std::move(next);
-  }
-  version_.fetch_add(1, std::memory_order_release);
+  publish([app](AppMap& apps) { apps.erase(app); });
 }
 
 Decision PermissionEngine::check(const perm::ApiCall& call) const {
   if (call.app == of::kKernelAppId) return Decision::allow();
-
-  // Resolve the app's compiled set, preferring this thread's cached
-  // resolution. The version is loaded BEFORE any snapshot so a resolution
-  // cached against version v can never be older than the table at v; a
-  // writer bumps the version after swapping the table, which invalidates
-  // the cache here on the next check.
-  ThreadMemo& memo = threadMemo();
-  std::uint64_t version = version_.load(std::memory_order_acquire);
-  const CompiledPermissions* compiledPtr = nullptr;
-  if (memo.engineId == engineId_ && memo.engineVersion == version &&
-      memo.appId == call.app && memo.compiled) {
-    compiledPtr = memo.compiled.get();
-  } else {
-    std::shared_ptr<const AppMap> apps = snapshot();
-    auto it = apps->find(call.app);
-    if (it == apps->end()) {
-      return Decision::deny("app " + std::to_string(call.app) +
-                            " has no installed permissions");
-    }
-    memo.engineId = engineId_;
-    memo.engineVersion = version;
-    memo.appId = call.app;
-    memo.compiled = it->second;
-    compiledPtr = memo.compiled.get();
+  // The snapshot keeps the program alive for the check.
+  std::shared_ptr<const AppMap> apps = snapshot();
+  auto it = apps->find(call.app);
+  if (it == apps->end()) {
+    return Decision::deny("app " + std::to_string(call.app) +
+                          " has no installed permissions");
   }
-  const CompiledPermissions& compiled = *compiledPtr;
-
-  // Memoized fast path: repeated calls with identical attributes (the
-  // common case — the same flows recur) skip the filter program entirely.
-  // Entries are validated by compiled-set identity plus an exact key
-  // compare, so a hash collision or a reinstalled manifest can never
-  // resurface a stale decision. Two-way probing (second slot from the high
-  // hash bits) keeps colliding hot keys from alternately evicting each
-  // other.
-  std::size_t bound = memoKeyBound(call);
-  if (memo.scratch.size() < bound) memo.scratch.resize(bound);
-  char* key = memo.scratch.data();
-  std::size_t keyLen = buildMemoKey(call, key);
-  std::uint64_t hash = hashKey(key, keyLen);
-  MemoEntry& first = memo.slots[hash & (kMemoSlots - 1)];
-  MemoEntry& second = memo.slots[(hash >> 12) & (kMemoSlots - 1)];
-  for (MemoEntry* entry : {&first, &second}) {
-    if (entry->compiledId == compiled.instanceId() && entry->hash == hash &&
-        entry->key.size() == keyLen &&
-        std::memcmp(entry->key.data(), key, keyLen) == 0) {
-      g_memoHit.add(1);
-      return entry->decision;
-    }
-  }
-  g_memoMiss.add(1);
-  Decision decision = compiled.check(call);
+  Decision decision = it->second->check(call);
   if (!decision.allowed) g_checkDenied.add(1);
-  // Displace an empty or stale slot when possible; otherwise the primary.
-  MemoEntry& entry =
-      first.compiledId == compiled.instanceId() &&
-              second.compiledId != compiled.instanceId()
-          ? second
-          : first;
-  entry.compiledId = compiled.instanceId();
-  entry.hash = hash;
-  entry.key.assign(key, keyLen);
-  entry.decision = decision;
   return decision;
 }
 
@@ -834,27 +582,6 @@ std::shared_ptr<const CompiledPermissions> PermissionEngine::compiled(
   return it == apps->end() ? nullptr : it->second;
 }
 
-MemoStats PermissionEngine::memoStats() {
-  std::uint64_t hits = g_memoHit.value();
-  std::uint64_t misses = g_memoMiss.value();
-  std::uint64_t hitBase = g_memoHitBase.load(std::memory_order_relaxed);
-  std::uint64_t missBase = g_memoMissBase.load(std::memory_order_relaxed);
-  return MemoStats{hits > hitBase ? hits - hitBase : 0,
-                   misses > missBase ? misses - missBase : 0};
-}
-
-void PermissionEngine::resetMemoStats() {
-  g_memoHitBase.store(g_memoHit.value(), std::memory_order_relaxed);
-  g_memoMissBase.store(g_memoMiss.value(), std::memory_order_relaxed);
-}
-
-void PermissionEngine::resetThreadMemo() {
-  ThreadMemo& memo = threadMemo();
-  for (MemoEntry& entry : memo.slots) entry = MemoEntry{};
-  memo.engineId = 0;
-  memo.engineVersion = 0;
-  memo.appId = 0;
-  memo.compiled.reset();
-}
+void PermissionEngine::resetThreadMemo() {}
 
 }  // namespace sdnshield::engine

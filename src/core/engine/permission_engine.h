@@ -3,7 +3,7 @@
 // path. Checking is stateless, allocation-free on the allow path, and safe
 // to run from many kernel-deputy threads concurrently.
 //
-// Hot-path design (three layers, see DESIGN.md "Permission hot path"):
+// Hot-path design (see DESIGN.md "Permission hot path"):
 //  1. Singleton filters are interned (core/perm/interner.h) so duplicate
 //     literals across programs share one slot and one evaluation.
 //  2. Filter expressions are optimized before compilation — constant
@@ -12,11 +12,9 @@
 //     cheap-filters-first reordering — and compiled to a branch program
 //     with short-circuit jumps evaluated by a single-register VM (no
 //     evaluation stack to overflow).
-//  3. PermissionEngine::check memoizes decisions per (app, canonical call
-//     key) in a thread-local direct-mapped cache, and resolves the app's
-//     compiled set through a per-thread epoch cache validated by a single
-//     version-counter load, touching the shared table only when the table
-//     actually changed.
+// CompiledPermissions::check is the one decision path: the deputies call it
+// on the program they hold, and PermissionEngine::check resolves the app's
+// program from the current epoch snapshot and calls it.
 #pragma once
 
 #include <atomic>
@@ -47,20 +45,6 @@ struct Decision {
   static Decision allow() { return Decision{true, {}}; }
   static Decision deny(std::string reason) {
     return Decision{false, std::move(reason)};
-  }
-};
-
-/// Process-wide counters of the decision memo caches (see
-/// PermissionEngine::check). The caches themselves are thread-local; the
-/// counters aggregate across threads so end-to-end harnesses can report a
-/// hit rate for checks performed on deputy threads.
-struct MemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-
-  double hitRate() const {
-    std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
 };
 
@@ -106,11 +90,6 @@ class CompiledPermissions {
   /// folds show up as shorter programs.
   std::size_t programLength(perm::Token token) const;
 
-  /// Process-unique identity of this compiled set; memo-cache entries are
-  /// keyed on it, so a recompiled (reinstalled) set never aliases a stale
-  /// decision.
-  std::uint64_t instanceId() const { return instanceId_; }
-
  private:
   // One-register branch VM. kPush loads a filter label into the register;
   // kJumpIfFalse/kJumpIfTrue short-circuit AND/OR: taken, the register
@@ -143,7 +122,6 @@ class CompiledPermissions {
   std::map<const perm::Filter*, std::uint32_t> filterSlots_;
   std::shared_ptr<const perm::PhysicalTopologyFilter> topologyProjection_;
   std::optional<std::set<of::DatapathId>> virtualMembers_;
-  std::uint64_t instanceId_ = 0;
 };
 
 /// Process-wide cache of compiled permission programs, keyed on the
@@ -153,9 +131,8 @@ class CompiledPermissions {
 /// across apps, engines, and permission epochs; a market-wide updatePolicy
 /// where most apps keep their grants compiles each distinct set once
 /// instead of once per app. Entries hold strong references; at capacity the
-/// least-recently-obtained entry is evicted (outstanding shared_ptrs — and
-/// the thread-memo entries keyed on their instanceId() — stay valid as long
-/// as any holder keeps them), so a market whose distinct-set population
+/// least-recently-obtained entry is evicted (outstanding shared_ptrs stay
+/// valid as long as any holder keeps them), so a market whose distinct-set population
 /// exceeds the capacity keeps its hot programs cached instead of losing the
 /// whole table to a wholesale clear.
 class CompiledProgramCache {
@@ -219,16 +196,14 @@ class CompiledProgramCache {
 /// Registry of compiled permissions per app, the controller-wide mediator.
 /// The kernel app (id 0) is always fully privileged.
 ///
-/// check() never blocks on writers in the common case: each thread caches
-/// its last (app -> compiled) resolution, validated by one acquire load of
-/// a version counter, and repeated decisions are served from a thread-local
-/// memo cache keyed on the canonicalized call attributes (exact key
-/// comparison — a hash collision can never flip a decision). Only a cold
-/// resolution copies the table snapshot under a micro-mutex held for two
-/// shared_ptr copies. (libstdc++'s std::atomic<std::shared_ptr> is the
-/// same thing — an embedded spinlock — but its GCC 12 implementation
-/// unlocks with a relaxed RMW in load(), a formal data race that TSan
-/// reports; the plain mutex is equivalent in cost and standard-clean.)
+/// The table is an immutable app -> program map replaced copy-and-swap by
+/// every writer. check() copies the current map pointer under a
+/// micro-mutex held for one shared_ptr copy, then runs the app's program
+/// with no lock held, so readers never wait on a compiler or on each
+/// other. (libstdc++'s std::atomic<std::shared_ptr> is the same thing — an
+/// embedded spinlock — but its GCC 12 implementation unlocks with a relaxed
+/// RMW in load(), a formal data race that TSan reports; the plain mutex is
+/// equivalent in cost and standard-clean.)
 class PermissionEngine {
  public:
   PermissionEngine();
@@ -253,15 +228,17 @@ class PermissionEngine {
   /// per reconcile unit, every member app sharing the program). Skips the
   /// per-app compile/lookup entirely — the swap cost is one map insert per
   /// app — and bumps the epoch once, exactly like the compiling overload.
-  /// Sharing one program across apps is decision-safe: the thread-local
-  /// memo keys on (program instance, serialized call incl. call.app).
+  /// Programs are app-agnostic, so sharing one across apps is
+  /// decision-safe.
   void installAll(
       std::vector<std::pair<of::AppId,
                             std::shared_ptr<const CompiledPermissions>>>
           programs);
 
   /// Current permission epoch: bumped once per install/uninstall/installAll
-  /// swap. Two equal reads bracket a window in which no grant changed.
+  /// swap, inside the same critical section as the swap. Two equal reads
+  /// bracket a window in which no grant changed: every check() between
+  /// them, on any thread, ran against the table of that epoch.
   std::uint64_t epoch() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -269,29 +246,17 @@ class PermissionEngine {
   /// Number of apps with installed permissions (leak-detection surface).
   std::size_t installedCount() const { return snapshot()->size(); }
 
-  /// Checks one API call. Unknown apps are denied everything.
+  /// Checks one API call: resolves the app's program from the current
+  /// snapshot and runs CompiledPermissions::check. Unknown apps are denied
+  /// everything.
   Decision check(const perm::ApiCall& call) const;
 
   /// Compiled permissions of an app (nullptr when not installed).
   std::shared_ptr<const CompiledPermissions> compiled(of::AppId app) const;
 
-  /// Process-wide decision memo counters (hits/misses recorded by any
-  /// engine on any thread since the last reset).
-  static MemoStats memoStats();
-  static void resetMemoStats();
-
-  /// Clears the CALLING thread's decision memo and cached app resolution.
-  /// The shard runtime runs this on every loop inside the publish fence so
-  /// each shard's memo domain hands over explicitly at an epoch boundary
-  /// (the epoch-validated memo would lazily converge anyway; the fence
-  /// makes the handover a barrier the cross-shard protocol can order on).
+  /// No-op. The engine keeps no per-thread decision state; kept only for
+  /// the benchmark harness (perfbench/), which still calls it.
   static void resetThreadMemo();
-
-  /// Hook invoked after every installAll epoch publish, outside the engine
-  /// locks. The shard runtime installs a cross-shard fence here (DESIGN.md
-  /// §16); empty (the default) is a no-op. The hook must not call back into
-  /// install/installAll/uninstall on the same engine.
-  void setPublishFence(std::function<void()> fence);
 
  private:
   using AppMap = std::map<of::AppId, std::shared_ptr<const CompiledPermissions>>;
@@ -301,21 +266,15 @@ class PermissionEngine {
     return apps_;
   }
 
-  /// Guards only the apps_ pointer itself (held for a shared_ptr copy, not
-  /// for compilation or map copying).
+  /// The one writer path: copies the table, applies @p edit to the copy,
+  /// then swaps it in and bumps version_ under snapshotMutex_.
+  void publish(const std::function<void(AppMap&)>& edit);
+
+  /// Guards apps_ and orders every version_ bump with its swap (held for a
+  /// shared_ptr copy or swap, never for compilation or map copying).
   mutable std::mutex snapshotMutex_;
   std::shared_ptr<const AppMap> apps_;
-  std::mutex writeMutex_;  // Serializes install/uninstall copy-and-swap.
-  mutable std::mutex fenceMutex_;  // Guards publishFence_ (set vs. invoke).
-  std::function<void()> publishFence_;
-
-  /// Process-unique engine identity + monotonic table version. check()
-  /// threads cache their last (app -> compiled) resolution keyed on
-  /// (engineId_, version_): a relaxed-cost version compare replaces the
-  /// snapshot copy + map lookup on the hot path, and any
-  /// install/uninstall bumps the version, invalidating every thread's
-  /// cached resolution at its next check.
-  std::uint64_t engineId_ = 0;
+  std::mutex writeMutex_;  // Serializes publish() copy-and-swap.
   std::atomic<std::uint64_t> version_{1};
 };
 

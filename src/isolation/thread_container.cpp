@@ -1,6 +1,9 @@
 #include "isolation/thread_container.h"
 
-#include <future>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 
 #include "isolation/executor.h"
 #include "isolation/fault_injector.h"
@@ -125,8 +128,8 @@ void ThreadContainer::quarantine() {
   state_->quarantined.store(true);
   state_->queue.closeAndDiscard();
   if (state_->virtualized) {
-    // Pending virtual tasks are destroyed unrun — waiters observe broken
-    // promises, exactly like the discarded real queue.
+    // Pending virtual tasks are destroyed unrun — waiters observe the
+    // discard, exactly like the discarded real queue.
     if (VirtualExecutor* executor = virtualExecutor()) {
       executor->discardQueue(state_.get());
     }
@@ -162,45 +165,61 @@ bool ThreadContainer::tryPost(std::function<void()> task) {
 
 bool ThreadContainer::postAndWait(std::function<void()> task,
                                   std::chrono::milliseconds timeout) {
-  auto done = std::make_shared<std::promise<void>>();
-  std::future<void> future = done->get_future();
-  bool posted = post([task = std::move(task), done] {
-    try {
-      task();
-      done->set_value();
-    } catch (...) {
-      done->set_exception(std::current_exception());
-    }
+  // Only the error's text crosses threads. A shared exception_ptr frees its
+  // exception on whichever thread drops the last reference, through a
+  // refcount TSan cannot see, while the waiter may still be reading it.
+  struct WaitState {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool settled = false;  // Ran, or destroyed unrun (quarantine discard).
+    bool ran = false;
+    std::optional<std::string> error;
+  };
+  auto state = std::make_shared<WaitState>();
+  // The guard's deleter is the completion signal: the queued wrapper is its
+  // only owner, so it fires whether the task ran or was discarded, and the
+  // wait below never runs out the full timeout on a discarded task.
+  auto guard = std::shared_ptr<void>(nullptr, [state](void*) {
+    std::lock_guard lock(state->mutex);
+    state->settled = true;
+    state->cv.notify_all();
   });
+  bool posted =
+      post([task = std::move(task), state, guard = std::move(guard)]() mutable {
+        std::optional<std::string> error;
+        try {
+          task();
+        } catch (...) {
+          error = describeException(std::current_exception());
+        }
+        {
+          std::lock_guard lock(state->mutex);
+          state->ran = true;
+          state->error = std::move(error);
+        }
+        guard.reset();
+      });
   if (!posted) return false;  // Container stopped; nothing will run.
-  // The queued wrapper must be the promise's only owner: if quarantine
-  // discards it, destroying the promise is what wakes the wait below with
-  // a broken_promise instead of letting it run out the full timeout.
-  done.reset();
+  auto settled = [&state] {
+    std::lock_guard lock(state->mutex);
+    return state->settled;
+  };
   if (state_->virtualized) {
-    if (VirtualExecutor* executor = virtualExecutor()) {
-      executor->await(
-          [&future] {
-            return future.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready;
-          },
-          "container.join");
-    }
-    // await() is best effort during teardown; an unready future here takes
+    // await() is best effort during teardown; an unsettled wait here takes
     // the same failure path a timed-out real wait would.
-    if (future.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
+    if (VirtualExecutor* executor = virtualExecutor()) {
+      executor->await(settled, "container.join");
+    }
+    if (!settled()) return false;
+  } else {
+    std::unique_lock lock(state->mutex);
+    if (!state->cv.wait_for(lock, timeout, [&] { return state->settled; })) {
       return false;
     }
-  } else if (future.wait_for(timeout) != std::future_status::ready) {
-    return false;
   }
-  try {
-    future.get();  // Rethrows the task's exception to the waiter.
-  } catch (const std::future_error&) {
-    return false;  // Task discarded (quarantine) — broken promise.
-  }
-  return true;
+  std::lock_guard lock(state->mutex);
+  if (state->error) throw std::runtime_error(*state->error);
+  return state->ran;
 }
 
 ThreadContainer::Clock::duration ThreadContainer::currentTaskRuntime() const {

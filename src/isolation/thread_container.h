@@ -79,7 +79,7 @@ class ThreadContainer {
   /// detached thread memory-safe.
   void stop(std::chrono::milliseconds joinTimeout = kDefaultWaitDeadline);
   /// Supervisor action: closes the queue and *discards* pending tasks
-  /// (waiters see broken promises). Does not join — safe to call from any
+  /// (postAndWait waiters return false). Does not join — safe to call from any
   /// thread, including the container's own.
   void quarantine();
 
@@ -91,7 +91,8 @@ class ThreadContainer {
 
   /// Posts and blocks until the task has run (used for app init). Returns
   /// false if the task could not be posted, was discarded by quarantine, or
-  /// did not finish within @p timeout; rethrows the task's exception.
+  /// did not finish within @p timeout. A task exception is rethrown as a
+  /// std::runtime_error carrying its describeException text.
   bool postAndWait(std::function<void()> task,
                    std::chrono::milliseconds timeout = kDefaultWaitDeadline);
 

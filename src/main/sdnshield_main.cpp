@@ -69,7 +69,6 @@ int runServe(int argc, char** argv) {
   runtime.start();
   runtime.attach(controller);
   iso::ShieldRuntime shield(controller);
-  runtime.attachEngine(shield.engine());
   auto app = std::make_shared<apps::L2LearningSwitch>();
   shield.loadApp(app, lang::parsePermissions(app->requestedManifest()));
 
@@ -106,7 +105,6 @@ int runServe(int argc, char** argv) {
               server.attachedCount());
   server.stop();
   shield.shutdown();
-  runtime.detachEngine(shield.engine());
   runtime.detach(controller);
   runtime.stop();
   return 0;

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/engine/permission_engine.h"
 #include "isolation/channel.h"
 #include "isolation/executor.h"
 #include "obs/metrics.h"
@@ -265,19 +264,9 @@ void ShardRuntime::detach(ctrl::Controller& controller) {
   fence({});
 }
 
-void ShardRuntime::attachEngine(engine::PermissionEngine& engine) {
-  engine.setPublishFence([this] {
-    // Epoch publish ordering (DESIGN.md §16): the table swap and version
-    // bump happened-before this fence; each loop then resets its
-    // thread-local memo, so every shard's next check resolves against the
-    // new epoch.
-    fence([](std::size_t) { engine::PermissionEngine::resetThreadMemo(); });
-  });
-}
+void ShardRuntime::attachEngine(engine::PermissionEngine&) {}
 
-void ShardRuntime::detachEngine(engine::PermissionEngine& engine) {
-  engine.setPublishFence({});
-}
+void ShardRuntime::detachEngine(engine::PermissionEngine&) {}
 
 ShardStats ShardRuntime::stats() const {
   ShardStats out;

@@ -1,10 +1,12 @@
 // The sharded controller substrate (DESIGN.md §16, ROADMAP item 1): N
 // per-core event loops, each draining its own iso::BoundedMpmcQueue (the
-// one inter-thread queue, paper §VIII-B) and owning, via thread-locality,
-// its own permission-memo domain. A deterministic Router maps dpid ->
-// shard; cross-shard traffic exists only for topology-wide operations —
-// policy epoch publishes (the engine publish fence) and app quarantine —
-// which run as a fence: one task per shard, caller waits for all.
+// one inter-thread queue, paper §VIII-B). A deterministic Router maps
+// dpid -> shard; cross-shard traffic exists only for topology-wide
+// operations — app quarantine and controller detach — which run as a
+// fence: one task per shard, caller waits for all. Policy epoch publishes
+// need no fence: a shard-local check resolves the app's program from the
+// engine's current snapshot, so the first check after installAll returns
+// sees the new grants on every loop.
 //
 // shards=1 reproduces the pre-shard single pipeline bit-for-bit: every
 // dpid routes to shard 0, packet-ins dispatch in arrival order on one
@@ -91,8 +93,8 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   void call(std::size_t shard, const Task& task);
   /// Barrier: runs @p perShard (may be empty) on every shard loop in index
   /// order, waiting for each. Refused (returns false, runs nothing) from a
-  /// shard loop, where blocking on siblings could cycle. Used for epoch
-  /// publishes and quarantine.
+  /// shard loop, where blocking on siblings could cycle. Used for
+  /// quarantine and detach.
   bool fence(const std::function<void(std::size_t)>& perShard);
 
   /// Shard loop the calling thread belongs to, if any.
@@ -104,10 +106,8 @@ class ShardRuntime final : public ctrl::ShardDispatch {
   /// Clears the dispatch and fences so no in-flight task still references
   /// the controller when the caller proceeds to tear things down.
   void detach(ctrl::Controller& controller);
-  /// Installs the engine's publish fence: every installAll epoch swap runs
-  /// a barrier over all shard loops that resets each loop's thread-local
-  /// permission memo — the per-shard memo/epoch domain handover. The engine
-  /// must outlive this runtime or be detached first.
+  /// No-ops: epoch publishes need no shard fence. Kept only for the
+  /// benchmark harness (perfbench/), which still calls them.
   void attachEngine(engine::PermissionEngine& engine);
   void detachEngine(engine::PermissionEngine& engine);
 

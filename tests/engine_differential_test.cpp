@@ -1,6 +1,6 @@
 // Randomized differential harness for the filter algebra and the optimized
 // permission engine (ISSUE 1): pins CompiledPermissions' optimizer + branch
-// VM and PermissionEngine's decision memo to the naive tree-walk reference
+// VM and PermissionEngine's install/check path to the naive tree-walk reference
 // (FilterExpr::evaluate), pins CNF/DNF against the same reference, and
 // checks Algorithm 1's soundness property over expressions that span every
 // filter kind.
@@ -240,8 +240,8 @@ perm::PermissionSet randomPermissionSet(Rng& rng) {
 class EngineDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 
 // ≥5,000 (permission set, call) pairs across the 10 seeds: 10 x 25 sets x
-// 25 calls = 6,250 compiled-path comparisons, plus the same pairs again
-// through PermissionEngine (memoized path, each call issued twice).
+// 25 calls = 6,250 compiled-path comparisons, plus as many again through
+// PermissionEngine, reinstalling one app for every set.
 TEST_P(EngineDifferentialTest, CompiledCheckMatchesNaiveTreeWalk) {
   Rng rng(GetParam());
   for (int setIdx = 0; setIdx < 25; ++setIdx) {
@@ -267,14 +267,10 @@ TEST_P(EngineDifferentialTest, MemoizedEngineMatchesNaiveTreeWalk) {
     for (int callIdx = 0; callIdx < 25; ++callIdx) {
       ApiCall call = randomCall(rng, kApp);
       Decision expected = referenceCheck(permissions, call);
-      // Twice: the second check exercises the memo-hit path, and a stale
-      // entry surviving the reinstall above would be caught here too.
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        Decision actual = engine.check(call);
-        ASSERT_EQ(actual.allowed, expected.allowed)
-            << "repeat=" << repeat << " set=" << permissions.toString()
-            << "\ncall=" << call.toString();
-      }
+      // A decision surviving the reinstall above would be caught here.
+      Decision actual = engine.check(call);
+      ASSERT_EQ(actual.allowed, expected.allowed)
+          << "set=" << permissions.toString() << "\ncall=" << call.toString();
     }
   }
 }

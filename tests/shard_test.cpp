@@ -7,7 +7,8 @@
 //  * stop() over the loops' bounded queues — every task queued before it
 //    runs on its loop, and calls racing it complete exactly once, on a
 //    loop or inline;
-//  * the engine publish fence barriers every shard on installAll;
+//  * an installAll epoch publish needs no fence — every loop's next check
+//    sees the new epoch;
 //  * the acceptance differentials — shards=1 is byte-identical to
 //    the pre-shard inline pipeline, and per-switch flow-mod streams are
 //    identical across shard counts.
@@ -234,34 +235,45 @@ TEST(ShardRuntime, CallsRacingStopEachCompleteExactlyOnce) {
   EXPECT_GT(inlineTotal, 0);
 }
 
-// --- engine publish fence ---------------------------------------------------
+// --- epoch publish ----------------------------------------------------------
 
-TEST(ShardRuntime, InstallAllEpochPublishFencesEveryShard) {
+perm::ApiCall statsCall(of::AppId app) {
+  perm::ApiCall call;
+  call.type = perm::ApiCallType::kReadStatistics;
+  call.app = app;
+  call.statsLevel = of::StatsLevel::kSwitch;
+  return call;
+}
+
+// installAll barriers no shard loop: each loop's check resolves the app's
+// program from the engine's current snapshot, so the first check on every
+// loop after installAll returns already runs at the new epoch.
+TEST(ShardRuntime, InstallAllNextCheckOnEveryLoopSeesNewEpoch) {
   shard::ShardOptions options;
   options.shards = 3;
   shard::ShardRuntime runtime(options);
   runtime.start();
   engine::PermissionEngine engine;
-  runtime.attachEngine(engine);
+  constexpr of::AppId kApp = 42;
+  engine.install(kApp, lang::parsePermissions("PERM read_statistics\n"));
+  for (std::size_t s = 0; s < 3; ++s) {
+    runtime.call(s, [&] { EXPECT_TRUE(engine.check(statsCall(kApp)).allowed); });
+  }
 
   std::uint64_t fencesBefore = runtime.stats().fences;
   std::uint64_t epochBefore = engine.epoch();
-  engine.installAll(
-      std::vector<std::pair<of::AppId, perm::PermissionSet>>{{42, {}}});
-  EXPECT_EQ(engine.epoch(), epochBefore + 1);
-  EXPECT_EQ(runtime.stats().fences, fencesBefore + 1)
-      << "installAll must barrier every shard loop";
+  engine.installAll(std::vector<std::pair<of::AppId, perm::PermissionSet>>{
+      {kApp, lang::parsePermissions("PERM pkt_in_event\n")}});
+  EXPECT_EQ(runtime.stats().fences, fencesBefore)
+      << "an epoch publish must not barrier the shard loops";
 
-  // After the fence returns, every loop resolves against the new epoch.
-  std::vector<std::uint64_t> observed(3, 0);
-  runtime.fence([&](std::size_t s) { observed[s] = engine.epoch(); });
-  for (std::uint64_t epoch : observed) EXPECT_EQ(epoch, epochBefore + 1);
-
-  runtime.detachEngine(engine);
-  std::uint64_t fencesAfterDetach = runtime.stats().fences;
-  engine.installAll(
-      std::vector<std::pair<of::AppId, perm::PermissionSet>>{{43, {}}});
-  EXPECT_EQ(runtime.stats().fences, fencesAfterDetach);
+  for (std::size_t s = 0; s < 3; ++s) {
+    runtime.call(s, [&] {
+      EXPECT_EQ(engine.epoch(), epochBefore + 1);
+      EXPECT_FALSE(engine.check(statsCall(kApp)).allowed)
+          << "shard " << s << " served the pre-publish grant";
+    });
+  }
   runtime.stop();
 }
 
@@ -355,7 +367,6 @@ struct Stack {
       runtime = std::make_unique<shard::ShardRuntime>(options);
       runtime->start();
       runtime->attach(controller);
-      runtime->attachEngine(shield.engine());
     }
     auto app = std::make_shared<apps::L2LearningSwitch>();
     shield.loadApp(app, lang::parsePermissions(app->requestedManifest()));
@@ -364,7 +375,6 @@ struct Stack {
   ~Stack() {
     shield.shutdown();
     if (runtime) {
-      runtime->detachEngine(shield.engine());
       runtime->detach(controller);
       runtime->stop();
     }
